@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Corpus, TableCorpus, TextPrep}
+import repro.core.{Corpus, TextPrep}
 
 /** Document serialization for the baseline methods.
   *

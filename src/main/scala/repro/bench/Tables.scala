@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.baselines._
 import repro.core.{Gamma, Merging}
-import repro.data.{Pretrained, Scenario, Scenarios, World}
+import repro.data.{Pretrained, Scenario, Scenarios}
 import repro.expand.Expansion
 import repro.compress.{MSP, SSuM}
 import repro.metrics.{RankMetrics, TaxoMetrics}

@@ -1,7 +1,6 @@
 package repro.compress
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{Graph, Kind}
 import scala.util.Random
 
@@ -19,11 +18,9 @@ import scala.util.Random
 object MSP {
 
   def compress(spark: SparkSession, g: Graph, beta: Double, seed: Long = 7): Graph = {
-    import spark.implicits._
-    val lg   = LocalGraph.fromGraph(g)
-    val kinds = g.nodes.collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    val meta1 = lg.labels.zipWithIndex.collect { case (l, i) if kinds(l) == Kind.Meta1 => i }
-    val meta2 = lg.labels.zipWithIndex.collect { case (l, i) if kinds(l) == Kind.Meta2 => i }
+    val lg    = LocalGraph.fromGraph(g)
+    val meta1 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta1)
+    val meta2 = lg.kinds.indices.filter(lg.kinds(_) == Kind.Meta2)
     require(meta1.nonEmpty && meta2.nonEmpty, "MSP needs metadata nodes in both corpora")
 
     val rnd = new Random(seed)
@@ -71,13 +68,6 @@ object MSP {
     meta2.foreach(v => if (!keptNodes.contains(v)) cover(v, meta1Set))
     bc.destroy()
 
-    val nodesDf = keptNodes.toSeq.map(i => (lg.labels(i), kinds(lg.labels(i)))).toDF("id", "kind")
-    val edgesDf = keptEdges.toSeq
-      .map { case (a, b) =>
-        val (la, lb) = (lg.labels(a), lg.labels(b))
-        (if (la < lb) la else lb, if (la < lb) lb else la)
-      }
-      .toDF("src", "dst")
-    Graph(nodesDf, edgesDf.distinct()).consistent
+    lg.toGraph(spark, keptNodes, keptEdges)
   }
 }

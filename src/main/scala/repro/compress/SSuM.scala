@@ -1,7 +1,6 @@
 package repro.compress
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core.{Graph, Kind}
 import scala.util.Random
 
@@ -28,10 +27,8 @@ object SSuM {
     * input size (the paper's SSuM(0.1) row = compression ratio 0.9).
     */
   def compress(spark: SparkSession, g: Graph, keepFraction: Double, seed: Long = 11): Graph = {
-    import spark.implicits._
-    val lg    = LocalGraph.fromGraph(g)
-    val kinds = g.nodes.collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    val isMeta = lg.labels.map(l => Kind.isMetadata(kinds(l)))
+    val lg     = LocalGraph.fromGraph(g)
+    val isMeta = lg.kinds.map(Kind.isMetadata)
 
     // 1) Merge data nodes with identical neighbor sets into supernodes.
     val signature = new scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[Int]]()
@@ -100,14 +97,6 @@ object SSuM {
     val finalNodes = keptNodes.filter(n =>
       isMeta(n) || mergedEdges.exists { case (a, b) => a == n || b == n })
 
-    val nodesDf = finalNodes.toSeq
-      .map(i => (lg.labels(i), kinds(lg.labels(i)))).toDF("id", "kind")
-    val edgesDf = mergedEdges.toSeq
-      .map { case (a, b) =>
-        val (la, lb) = (lg.labels(a), lg.labels(b))
-        (if (la < lb) la else lb, if (la < lb) lb else la)
-      }
-      .toDF("src", "dst")
-    Graph(nodesDf, edgesDf.distinct()).consistent
+    lg.toGraph(spark, finalNodes, mergedEdges)
   }
 }

@@ -39,18 +39,6 @@ final case class Graph(nodes: DataFrame, edges: DataFrame) {
   def numNodes: Long = nodes.count()
   def numEdges: Long = edges.count()
 
-  /** Restrict edges to pairs whose endpoints are both in `nodes`;
-    * useful after node filtering.
-    */
-  def consistent: Graph = {
-    val ids = nodes.select(col("id"))
-    val e = edges
-      .join(ids.withColumnRenamed("id", "src"), "src")
-      .join(ids.withColumnRenamed("id", "dst"), "dst")
-      .select("src", "dst")
-    Graph(nodes, e)
-  }
-
   def persist(): Graph = Graph(nodes.persist(), edges.persist())
   def unpersist(): Unit = { nodes.unpersist(); edges.unpersist() }
 

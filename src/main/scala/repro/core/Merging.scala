@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.embed.Embeddings
 
 /** Data-node merging techniques (paper §II-C).
   *
@@ -70,12 +71,6 @@ object Merging {
       .toDF("variant", "canon")
   }
 
-  private def cosine(a: Array[Float], b: Array[Float]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
-
   /** Embedding-similarity merging: merge term pairs whose cosine in a
     * pre-trained model exceeds γ (paper: Wikipedia2Vec, γ = 0.57 from a
     * WordNet synonym list — see [[Gamma.calibrate]]). Connected variants
@@ -94,14 +89,14 @@ object Merging {
       .filter(vocabVectors.contains).sorted
     if (inVocab.length < 2) return Seq.empty[(String, String)].toDF("variant", "canon")
 
-    val bc = spark.sparkContext.broadcast(vocabVectors.filter { case (k, _) => inVocab.contains(k) })
+    val bc = spark.sparkContext.broadcast(inVocab.map(t => t -> vocabVectors(t)).toMap)
     val idx = spark.createDataset(inVocab.toIndexedSeq).toDF("t")
     val simPairs = idx.as("l").crossJoin(idx.as("r"))
       .where(col("l.t") < col("r.t"))
       .as[(String, String)]
       .filter { case (l, r) =>
         val m = bc.value
-        cosine(m(l), m(r)) >= gamma
+        Embeddings.cosine(m(l), m(r)) >= gamma
       }
       .collect()
 

@@ -1,22 +1,26 @@
 package repro.expand
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
+import repro.compress.LocalGraph
 import repro.core.{Graph, Kind}
 
 /** Graph expansion with an external resource (paper Algorithm 2).
   *
   * For every non-metadata node, fetch all its connections in the resource
   * and add the corresponding nodes (kind `kb`) and edges. Then clean the
-  * graph by removing sink nodes — nodes of degree 1 that were introduced
-  * by the expansion (e.g. `Bhavna Vaswani` connected only to `Shyamalan`).
+  * graph by removing sink nodes: every non-metadata node of degree ≤ 1,
+  * whether it came from the graph or from the expansion (e.g.
+  * `Bhavna Vaswani` connected only to `Shyamalan`).
   *
-  * All steps are distributed joins over the `nodes`/`edges`/`triples`
-  * DataFrames.
+  * Expansion is a set of distributed joins over the `nodes`/`edges`/
+  * `triples` DataFrames; the cleaning runs on the graph's [[LocalGraph]].
   */
 object Expansion {
 
-  /** Expand `g` with `kb`, then drop degree-1 KB nodes. */
+  /** Expand `g` with `kb`, then drop every non-metadata node of degree ≤ 1
+    * ([[removeSinks]]).
+    */
   def expand(spark: SparkSession, g: Graph, kb: KnowledgeBase): Graph = {
     val dataNodes = g.nodes.where(!col("kind").isin(Kind.Meta1, Kind.Meta2, Kind.Attr))
       .select(col("id"))
@@ -46,13 +50,8 @@ object Expansion {
     * One pass, as in the paper; metadata nodes are always kept.
     */
   def removeSinks(g: Graph): Graph = {
-    val deg  = g.degrees
-    val keep = g.nodes
-      .join(deg, Seq("id"), "left")
-      .where(
-        col("kind").isin(Kind.Meta1, Kind.Meta2, Kind.Attr) ||
-          coalesce(col("degree"), lit(0L)) > 1)
-      .select("id", "kind")
-    Graph(keep, g.edges).consistent
+    val lg = LocalGraph.fromGraph(g)
+    val keep = (0 until lg.numNodes).filter(v => Kind.isMetadata(lg.kinds(v)) || lg.degree(v) > 1)
+    lg.toGraph(g.nodes.sparkSession, keep, lg.edges)
   }
 }

@@ -1,6 +1,6 @@
 package repro.metrics
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Ranking quality measures used in Tables I, II, IV, V, VI:

@@ -1,7 +1,8 @@
 package repro.walk
 
+import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.compress.LocalGraph
 import repro.core.Graph
 
 /** Random-walk corpus generation (paper Algorithm 4).
@@ -11,47 +12,31 @@ import repro.core.Graph
   * words are node labels; the union of sentences is the Word2Vec training
   * corpus.
   *
-  * Implemented as `l-1` distributed joins against the grouped adjacency
-  * (`node → [neighbors]`); deterministic in `seed`.
+  * Walks run in Spark tasks over node ranges against a broadcast
+  * [[LocalGraph]]. Each walk draws from its own RNG, seeded from
+  * `(seed, node, walk)`, so the sentences and their order depend only on
+  * the graph and `seed`, not on partitioning or thread count.
   */
 object RandomWalks {
 
-  /** Returns a DataFrame `(sentence: Array[String])` with `n · |V|` rows. */
+  /** Returns a DataFrame `(sentence: Array[String])` with `n · |V|` rows,
+    * ordered by start node (label order), then walk number.
+    */
   def walks(spark: SparkSession, g: Graph, n: Int, l: Int, seed: Long = 13): DataFrame = {
-    val adj = g.adjacency
-      .groupBy(col("src").as("node"))
-      .agg(collect_list(col("dst")).as("nbrs"))
-      .persist()
-
-    val starts = g.nodes.select(col("id"))
-      .crossJoin(spark.range(n).select(col("id").as("walk")))
-      .select(col("id").as("cur"), array(col("id")).as("sentence"))
-
-    var cur = starts
-    var step = 1
-    while (step < l) {
-      val stepped = cur
-        .join(adj.withColumnRenamed("node", "cur"), Seq("cur"), "left")
-        .withColumn(
-          "next",
-          when(col("nbrs").isNotNull && size(col("nbrs")) > 0,
-            element_at(
-              col("nbrs"),
-              (floor(rand(seed + step) * size(col("nbrs"))) + 1).cast("int")))
-            .otherwise(lit(null)))
-        .select(
-          coalesce(col("next"), col("cur")).as("cur"),
-          when(col("next").isNotNull, concat(col("sentence"), array(col("next"))))
-            .otherwise(col("sentence"))
-            .as("sentence"))
-      // Cut lineage periodically: 30 chained joins otherwise blow up the plan.
-      cur =
-        if (step % 5 == 0) stepped.localCheckpoint(true)
-        else stepped
-      step += 1
-    }
-    val out = cur.select("sentence")
-    adj.unpersist()
-    out
+    import spark.implicits._
+    val lg = LocalGraph.fromGraph(g)
+    val bc = spark.sparkContext.broadcast(lg)
+    val base = new SplittableRandom(seed).nextLong()
+    spark.sparkContext
+      .parallelize(0 until lg.numNodes)
+      .flatMap { v =>
+        val graph = bc.value
+        Iterator.tabulate(n) { w =>
+          // `v << 32 | w` is unique per walk; `base` is a hash of `seed`.
+          val rnd = new SplittableRandom(base ^ (v.toLong << 32 | w))
+          graph.walk(v, l, rnd).map(graph.labels)
+        }
+      }
+      .toDF("sentence")
   }
 }

@@ -79,4 +79,17 @@ class LocalGraphSpec extends SparkSpec {
     val (ns, es) = lg.shortestPathSlice(lg.bfs(lg.index("a")), lg.index("a"))
     assert(ns.map(lg.labels) == Set("a") && es.isEmpty)
   }
+  test("toGraph of all nodes and edges returns the graph") {
+    import spark.implicits._
+    val nodes = Seq(("m1::p", Kind.Meta1), ("m2::q", Kind.Meta2), ("b", Kind.Term),
+      ("a", Kind.Kb), ("lone", Kind.Term)).toDF("id", "kind")
+    val edges = Seq(("m1::p", "a"), ("a", "b"), ("b", "m2::q"), ("a", "m2::q")).toDF("src", "dst")
+    val g = Graph(nodes, Graph.canonEdges(edges))
+    val lg = LocalGraph.fromGraph(g)
+    val back = lg.toGraph(spark, 0 until lg.numNodes, lg.edges)
+    def rows(df: org.apache.spark.sql.DataFrame) =
+      df.collect().map(r => (r.getString(0), r.getString(1))).toSeq
+    assert(rows(back.nodes).sorted == rows(g.nodes).sorted)
+    assert(rows(back.edges).sorted == rows(g.edges).sorted)
+  }
 }

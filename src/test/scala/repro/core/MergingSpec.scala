@@ -3,7 +3,6 @@ package repro.core
 import repro.SparkSpec
 
 class MergingSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
 
   // ---- FD rule -----------------------------------------------------------
 

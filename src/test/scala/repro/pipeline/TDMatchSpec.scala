@@ -1,6 +1,5 @@
 package repro.pipeline
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.{Kind, Merging}
 import repro.data.Scenarios

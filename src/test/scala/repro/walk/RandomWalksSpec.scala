@@ -62,4 +62,25 @@ class RandomWalksSpec extends SparkSpec {
     val w = RandomWalks.walks(spark, triangle, n = 1, l = 30)
     assert(w.collect().forall(_.getSeq[String](0).size == 30))
   }
+
+  /** 1,200 nodes: a 1,150-node ring with random chords, plus 50 isolated nodes. */
+  private def generated: Graph = {
+    import spark.implicits._
+    val rnd = new scala.util.Random(3)
+    val ids = (0 until 1200).map(i => f"n$i%04d")
+    val nodes = ids.map((_, Kind.Term)).toDF("id", "kind")
+    val ring = (0 until 1150).map(i => (ids(i), ids((i + 1) % 1150)))
+    val chords = Seq.fill(800)((ids(rnd.nextInt(1150)), ids(rnd.nextInt(1150))))
+    Graph(nodes, Graph.canonEdges((ring ++ chords).toDF("src", "dst")))
+  }
+
+  test("walks are identical in content and order for any partitioning") {
+    val g = generated
+    def run(parts: Int) = RandomWalks.walks(
+      spark, Graph(g.nodes.repartition(parts), g.edges.repartition(parts)), n = 3, l = 8, seed = 42)
+      .collect().map(_.getSeq[String](0).mkString(","))
+    val one = run(1)
+    assert(one.length == 3600)
+    assert(one.sameElements(run(7)))
+  }
 }
