@@ -33,32 +33,24 @@ object EmbedBaselines {
     val qTok = DocTokens.map(spark, a, markers = false)
     val cTok = DocTokens.map(spark, b, markers = false)
     val (ranked, testT) = time {
-      val q = embDf(spark, qTok, vectors, dim)
-      val c = embDf(spark, cTok, vectors, dim)
-      Matcher.topK(q, c, k).persist()
+      Matcher.topK(spark, meanVectors(qTok, vectors, dim), meanVectors(cTok, vectors, dim), k)
     }
-    ranked.count()
     Ranked(ranked, 0.0, testT)
   }
 
   /** Full S-BE score matrix, for score-averaging with TDmatch (§V-F2). */
   def sbeScores(spark: SparkSession, world: World, a: Corpus, b: Corpus, dim: Int = 48): DataFrame = {
     val vectors = Pretrained.vectors(spark, world, dim)
-    val q = embDf(spark, DocTokens.map(spark, a, markers = false), vectors, dim)
-    val c = embDf(spark, DocTokens.map(spark, b, markers = false), vectors, dim)
-    Matcher.allScores(q, c)
+    val q = meanVectors(DocTokens.map(spark, a, markers = false), vectors, dim)
+    val c = meanVectors(DocTokens.map(spark, b, markers = false), vectors, dim)
+    Matcher.allScores(spark, q, c)
   }
 
-  private def embDf(
-      spark: SparkSession,
+  private def meanVectors(
       toks: Map[String, Seq[String]],
       vectors: Map[String, Array[Float]],
-      dim: Int): DataFrame = {
-    import spark.implicits._
-    toks.toSeq.map { case (id, ts) =>
-      (id, Embeddings.meanVector(ts, vectors, dim).toSeq)
-    }.toDF("id", "vec")
-  }
+      dim: Int): Seq[(String, Array[Float])] =
+    toks.toSeq.map { case (id, ts) => (id, Embeddings.meanVector(ts, vectors, dim)) }
 
   /** W2VEC / D2VEC: trained on the two corpora's serialized documents. */
   def trained(
@@ -86,16 +78,11 @@ object EmbedBaselines {
     val (ranked, testT) = time {
       val (q, c) =
         if (docIdToken)
-          (spark.createDataset(qTok.keys.toSeq.map(id =>
-              (id, vectors.getOrElse(docTokenId(id, true), new Array[Float](dim)).toSeq)))
-            .toDF("id", "vec"),
-            spark.createDataset(cTok.keys.toSeq.map(id =>
-              (id, vectors.getOrElse(docTokenId(id, false), new Array[Float](dim)).toSeq)))
-            .toDF("id", "vec"))
-        else (embDf(spark, qTok, vectors, dim), embDf(spark, cTok, vectors, dim))
-      Matcher.topK(q, c, k).persist()
+          (Matcher.withVectors(qTok.keys.toSeq, vectors, dim, docTokenId(_, true)),
+            Matcher.withVectors(cTok.keys.toSeq, vectors, dim, docTokenId(_, false)))
+        else (meanVectors(qTok, vectors, dim), meanVectors(cTok, vectors, dim))
+      Matcher.topK(spark, q, c, k)
     }
-    ranked.count()
     Ranked(ranked, trainT, testT)
   }
 }

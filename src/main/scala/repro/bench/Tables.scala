@@ -68,8 +68,9 @@ object Tables {
       topK = bench.topK, seed = bench.seed)
 
   /** Runs W-RW (optionally with expansion) and returns the TDMatch result.
-    * `precomputedMerge` avoids re-deriving the merge map (the γ-merge
-    * self-join is the expensive part) when both W-RW and W-RW-EX run.
+    * `precomputedMerge` avoids re-deriving the merge map (Spark jobs that
+    * collect both corpora's terms, then the local all-pairs γ test)
+    * when both W-RW and W-RW-EX run.
     */
   def wrw(spark: SparkSession, sc: Scenario, expand: Boolean,
           useGamma: Boolean = true, useBuckets: Boolean = false,
@@ -315,7 +316,6 @@ object Tables {
         val (_, ranked, _, _) = TDMatch.embedAndRank(spark, g, sc.queries, sc.candidates, cfg)
         val mrr = RankMetrics.mrr(ranked, sc.truth)
         sb.append(f"| $name | $vName | ${g.numNodes} | ${g.numEdges} | $mrr%.3f |\n")
-        ranked.unpersist()
       }
       variants.foreach(_._2.unpersist())
     }

@@ -23,6 +23,13 @@ sealed trait Corpus {
   /** `(docId, unit, attr)` — attr is null for non-table corpora. */
   def units: DataFrame
 
+  /** The corpus's documents: the sorted, distinct `docId`s of [[units]].
+    * A document with no unit (a table row whose cells are all null or
+    * blank) is not one. Collected on first use, then kept.
+    */
+  lazy val docIds: IndexedSeq[String] =
+    units.select("docId").distinct().collect().map(_.getString(0)).sorted.toIndexedSeq
+
   /** `(child, parent)` doc-id pairs for structured text; empty otherwise. */
   def hierarchy(spark: SparkSession): DataFrame = {
     import spark.implicits._

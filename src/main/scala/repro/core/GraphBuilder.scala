@@ -62,10 +62,10 @@ object GraphBuilder {
 
     val (dtAKept, dtBKept) = if (aSeeds) (dtSeed, dtOtherKept) else (dtOtherKept, dtSeed)
 
-    def metaNodes(c: Corpus, prefix: String, kind: String): DataFrame =
-      c.units.select(col("docId")).distinct()
-        .select(concat(lit(prefix), col("docId")).as("id"))
-        .withColumn("kind", lit(kind))
+    def metaNodes(c: Corpus, prefix: String, kind: String): DataFrame = {
+      import spark.implicits._
+      c.docIds.map(prefix + _).toDF("id").withColumn("kind", lit(kind))
+    }
 
     val meta1 = metaNodes(a, "m1::", Kind.Meta1)
     val meta2 = metaNodes(b, "m2::", Kind.Meta2)

@@ -72,12 +72,13 @@ object Merging {
   }
 
   /** Embedding-similarity merging: merge term pairs whose cosine in a
-    * pre-trained model exceeds γ (paper: Wikipedia2Vec, γ = 0.57 from a
+    * pre-trained model reaches γ (paper: Wikipedia2Vec, γ = 0.57 from a
     * WordNet synonym list — see [[Gamma.calibrate]]). Connected variants
     * collapse to the lexicographically smallest member via union-find.
     *
-    * `vocabVectors` is the pre-trained model restricted to graph terms;
-    * the all-pairs similarity is computed as a distributed self-join.
+    * `vocabVectors` is the pre-trained model; only graph terms it covers
+    * take part. Their distinct terms are collected, and every pair is
+    * compared locally, with no Spark job, each norm computed once.
     */
   def gammaMergeMap(
       spark: SparkSession,
@@ -87,18 +88,8 @@ object Merging {
     import spark.implicits._
     val inVocab = terms.select("term").distinct().as[String].collect()
       .filter(vocabVectors.contains).sorted
-    if (inVocab.length < 2) return Seq.empty[(String, String)].toDF("variant", "canon")
-
-    val bc = spark.sparkContext.broadcast(inVocab.map(t => t -> vocabVectors(t)).toMap)
-    val idx = spark.createDataset(inVocab.toIndexedSeq).toDF("t")
-    val simPairs = idx.as("l").crossJoin(idx.as("r"))
-      .where(col("l.t") < col("r.t"))
-      .as[(String, String)]
-      .filter { case (l, r) =>
-        val m = bc.value
-        Embeddings.cosine(m(l), m(r)) >= gamma
-      }
-      .collect()
+    val vecs  = inVocab.map(vocabVectors)
+    val norms = vecs.map(Embeddings.sqNorm)
 
     // Union-find over merged pairs; representative = smallest label.
     val parent = scala.collection.mutable.Map.empty[String, String]
@@ -110,9 +101,10 @@ object Merging {
       val (ra, rb) = (find(a), find(b))
       if (ra != rb) { if (ra < rb) parent(rb) = ra else parent(ra) = rb }
     }
-    simPairs.foreach { case (l, r) => union(l, r) }
+    for (i <- inVocab.indices; j <- i + 1 until inVocab.length)
+      if (Embeddings.cosine(Embeddings.dot(vecs(i), vecs(j)), norms(i), norms(j)) >= gamma)
+        union(inVocab(i), inVocab(j))
     val mapping = parent.keys.toSeq.map(t => (t, find(t))).filter { case (v, c) => v != c }
-    bc.destroy()
     mapping.toDF("variant", "canon")
   }
 

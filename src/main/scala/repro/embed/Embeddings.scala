@@ -37,11 +37,27 @@ object Embeddings {
     w2v.fit(rdd).getVectors
   }
 
-  def cosine(a: Array[Float], b: Array[Float]): Double = {
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
+  /** `Σ a(i)·b(i)` over the indices of `a`: each `Float` product is widened
+    * to `Double` and summed in index order.
+    */
+  def dot(a: Array[Float], b: Array[Float]): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    s
   }
+
+  /** Squared L2 norm, with the same arithmetic as [[dot]]. */
+  def sqNorm(a: Array[Float]): Double = dot(a, a)
+
+  /** Cosine from a dot product and the two squared norms; 0 when either
+    * norm is 0. Callers that score one vector against many compute each
+    * norm once and get the same value as `cosine(a, b)`.
+    */
+  def cosine(dot: Double, na: Double, nb: Double): Double =
+    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
+
+  def cosine(a: Array[Float], b: Array[Float]): Double =
+    cosine(dot(a, b), sqNorm(a), sqNorm(b))
 
   /** Mean of token vectors — document embedding for baselines (the paper
     * aggregates word vectors for longer texts by averaging [38]).

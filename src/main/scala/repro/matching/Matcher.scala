@@ -3,48 +3,84 @@ package repro.matching
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.embed.Embeddings
 
 /** Unsupervised metadata-node matching (paper §IV-B).
   *
-  * Given embedding vectors for query documents and candidate documents,
-  * computes the cosine top-k candidates per query with a distributed
-  * cross join + window ranking. Output: `(queryId, candId, sim, rank)`
-  * with rank 1 = most similar.
+  * Given `(id, vector)` pairs for query documents and candidate documents,
+  * computes the exact cosine top-k candidates per query locally, with no
+  * Spark job: every candidate is scored (each norm computed once) and a
+  * bounded heap keeps the best k, in the manner of exact inner-product
+  * search (FAISS, Johnson, Douze & Jégou 2019). Output: `(queryId, candId,
+  * sim, rank)` with rank 1 = most similar, ties broken by candidate id.
   */
 object Matcher {
 
-  private val cosineUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
-    var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
-
-  /** Build an embedding DataFrame `(id, vec)` from a vocabulary map,
-    * restricted to the given ids; ids missing from the map get the zero
-    * vector (they still receive a deterministic arbitrary ranking).
+  /** `(id, vector)` for each id, the vector looked up under `key(id)`; ids
+    * without a vector get the zero vector (every cosine 0, so they still
+    * rank their candidates, by candidate id).
     */
-  def embeddingDf(
-      spark: SparkSession,
+  def withVectors(
       ids: Seq[String],
       vectors: Map[String, Array[Float]],
-      dim: Int): DataFrame = {
-    import spark.implicits._
-    ids.map(id => (id, vectors.getOrElse(id, new Array[Float](dim)).toSeq))
-      .toDF("id", "vec")
+      dim: Int,
+      key: String => String): Seq[(String, Array[Float])] = {
+    val zero = new Array[Float](dim)
+    ids.map(id => id -> vectors.getOrElse(key(id), zero))
   }
 
-  /** Top-k most similar candidates per query by cosine similarity.
-    * Ties broken by candidate id for determinism.
+  /** Scores every candidate against each query and hands `emit` the query
+    * id, the candidate ids sorted, and the cosine of each (a buffer reused
+    * across queries).
     */
-  def topK(queries: DataFrame, candidates: DataFrame, k: Int): DataFrame = {
-    val scored = queries.select(col("id").as("queryId"), col("vec").as("qv"))
-      .crossJoin(candidates.select(col("id").as("candId"), col("vec").as("cv")))
-      .withColumn("sim", cosineUdf(col("qv"), col("cv")))
-    val w = Window.partitionBy("queryId").orderBy(col("sim").desc, col("candId").asc)
-    scored
-      .withColumn("rank", row_number().over(w))
-      .where(col("rank") <= k)
-      .select("queryId", "candId", "sim", "rank")
+  private def score(
+      queries: Seq[(String, Array[Float])],
+      candidates: Seq[(String, Array[Float])])(
+      emit: (String, Array[String], Array[Double]) => Unit): Unit = {
+    val sorted = candidates.sortBy(_._1)
+    val cIds   = sorted.map(_._1).toArray
+    val cVecs  = sorted.map(_._2).toArray
+    val cNorms = cVecs.map(Embeddings.sqNorm)
+    val sims   = new Array[Double](cIds.length)
+    queries.foreach { case (q, qv) =>
+      val qNorm = Embeddings.sqNorm(qv)
+      var j = 0
+      while (j < sims.length) {
+        sims(j) = Embeddings.cosine(Embeddings.dot(qv, cVecs(j)), qNorm, cNorms(j))
+        j += 1
+      }
+      emit(q, cIds, sims)
+    }
+  }
+
+  /** Top-k most similar candidates per query by cosine similarity, ordered
+    * by `(sim desc, candId asc)`; `rank` runs 1..min(k, #candidates).
+    */
+  def topK(
+      spark: SparkSession,
+      queries: Seq[(String, Array[Float])],
+      candidates: Seq[(String, Array[Float])],
+      k: Int): DataFrame = {
+    import spark.implicits._
+    val rows = Seq.newBuilder[(String, String, Double, Int)]
+    score(queries, candidates) { (q, cIds, sims) =>
+      // Candidate indices follow candId order, so the index breaks ties;
+      // the heap's head is the worst candidate kept.
+      val worseFirst: java.util.Comparator[Int] = (i, j) => {
+        val c = java.lang.Double.compare(sims(i), sims(j))
+        if (c != 0) c else Integer.compare(j, i)
+      }
+      val heap = new java.util.PriorityQueue[Int](worseFirst)
+      var j = 0
+      while (j < sims.length) {
+        heap.add(j)
+        if (heap.size > k) heap.poll()
+        j += 1
+      }
+      val best = Array.fill(heap.size)(heap.poll()).reverse
+      best.iterator.zipWithIndex.foreach { case (i, r) => rows += ((q, cIds(i), sims(i), r + 1)) }
+    }
+    rows.result().toDF("queryId", "candId", "sim", "rank")
   }
 
   /** Average two score sets (paper §V-F2: combining our cosine scores
@@ -64,10 +100,19 @@ object Matcher {
       .select("queryId", "candId", "sim", "rank")
   }
 
-  /** Full score matrix (no top-k cut) — input to [[averageScores]]. */
-  def allScores(queries: DataFrame, candidates: DataFrame): DataFrame =
-    queries.select(col("id").as("queryId"), col("vec").as("qv"))
-      .crossJoin(candidates.select(col("id").as("candId"), col("vec").as("cv")))
-      .withColumn("sim", cosineUdf(col("qv"), col("cv")))
-      .select("queryId", "candId", "sim")
+  /** Full score matrix `(queryId, candId, sim)` (no top-k cut) — input to
+    * [[averageScores]].
+    */
+  def allScores(
+      spark: SparkSession,
+      queries: Seq[(String, Array[Float])],
+      candidates: Seq[(String, Array[Float])]): DataFrame = {
+    import spark.implicits._
+    val rows = Seq.newBuilder[(String, String, Double)]
+    score(queries, candidates) { (q, cIds, sims) =>
+      var j = 0
+      while (j < sims.length) { rows += ((q, cIds(j), sims(j))); j += 1 }
+    }
+    rows.result().toDF("queryId", "candId", "sim")
+  }
 }

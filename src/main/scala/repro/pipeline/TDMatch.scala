@@ -88,11 +88,20 @@ object TDMatch {
     val trainSec = (System.nanoTime() - trainStartNanos) / 1e9
 
     val t1 = System.nanoTime()
-    val ranked = TDMatch.rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK).persist()
-    ranked.count()
+    val ranked = TDMatch.rank(spark, a, b, vectors, cfg.vectorSize, cfg.topK)
     val testSec = (System.nanoTime() - t1) / 1e9
     (vectors, ranked, trainSec, testSec)
   }
+
+  /** Each corpus's documents with their metadata-node vectors, keyed by
+    * raw document id; a document without a vector gets the zero vector.
+    */
+  private def matchInputs(
+      a: Corpus, b: Corpus,
+      vectors: Map[String, Array[Float]],
+      dim: Int): (Seq[(String, Array[Float])], Seq[(String, Array[Float])]) =
+    (Matcher.withVectors(a.docIds, vectors, dim, Graph.metaId1),
+      Matcher.withVectors(b.docIds, vectors, dim, Graph.metaId2))
 
   /** Rank `b` documents for every `a` document using node vectors. */
   def rank(
@@ -101,14 +110,8 @@ object TDMatch {
       vectors: Map[String, Array[Float]],
       dim: Int,
       topK: Int): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val qIds = a.units.select("docId").distinct().collect().map(r => Graph.metaId1(r.getString(0)))
-    val cIds = b.units.select("docId").distinct().collect().map(r => Graph.metaId2(r.getString(0)))
-    val queries    = Matcher.embeddingDf(spark, qIds.toIndexedSeq, vectors, dim)
-    val candidates = Matcher.embeddingDf(spark, cIds.toIndexedSeq, vectors, dim)
-    Matcher.topK(queries, candidates, topK)
-      .withColumn("queryId", expr("substring(queryId, 5)"))
-      .withColumn("candId", expr("substring(candId, 5)"))
+    val (queries, candidates) = matchInputs(a, b, vectors, dim)
+    Matcher.topK(spark, queries, candidates, topK)
   }
 
   /** Full similarity matrix over raw ids (for score averaging with a
@@ -119,13 +122,7 @@ object TDMatch {
       a: Corpus, b: Corpus,
       vectors: Map[String, Array[Float]],
       dim: Int): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val qIds = a.units.select("docId").distinct().collect().map(r => Graph.metaId1(r.getString(0)))
-    val cIds = b.units.select("docId").distinct().collect().map(r => Graph.metaId2(r.getString(0)))
-    val queries    = Matcher.embeddingDf(spark, qIds.toIndexedSeq, vectors, dim)
-    val candidates = Matcher.embeddingDf(spark, cIds.toIndexedSeq, vectors, dim)
-    Matcher.allScores(queries, candidates)
-      .withColumn("queryId", expr("substring(queryId, 5)"))
-      .withColumn("candId", expr("substring(candId, 5)"))
+    val (queries, candidates) = matchInputs(a, b, vectors, dim)
+    Matcher.allScores(spark, queries, candidates)
   }
 }

@@ -93,4 +93,20 @@ class CorpusSpec extends SparkSpec {
     assert(tc.hierarchy(spark).count() == 0)
     assert(pc.hierarchy(spark).count() == 0)
   }
+
+  test("docIds are the sorted distinct docIds of units, for every corpus kind") {
+    import spark.implicits._
+    def fromUnits(c: Corpus) = c.units.select("docId").distinct().collect().map(_.getString(0)).sorted.toSeq
+    val table = TableCorpus("t", Seq(
+        ("b", "x", null.asInstanceOf[String]), ("10", " ", null.asInstanceOf[String]),
+        ("a", "y", "z"), ("9", "w", " ")).toDF("docId", "p", "q"), "docId")
+    val text = TextCorpus("x", Seq(("p2", "one. two"), ("p10", "three"), ("p1", "four")).toDF("docId", "text"))
+    val tax = TaxonomyCorpus("t", Seq(("c2", "child", "c0"), ("c0", "root", null.asInstanceOf[String]),
+      ("c1", "child one", "c0")).toDF("docId", "text", "parent"))
+    for (c <- Seq(table, text, tax, tc, pc)) assert(c.docIds == fromUnits(c), c.name)
+    // Row "10" has only null or blank cells, so it has no unit and is no document.
+    assert(table.docIds == Seq("9", "a", "b"))
+    assert(text.docIds == Seq("p1", "p10", "p2"))
+    assert(tax.docIds == Seq("c0", "c1", "c2"))
+  }
 }

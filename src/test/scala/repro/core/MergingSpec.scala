@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.embed.Embeddings
 
 class MergingSpec extends SparkSpec {
 
@@ -101,6 +102,39 @@ class MergingSpec extends SparkSpec {
       .collect().map(r => (r.getString(0), r.getString(1))).toMap
     // a~b and b~c merge; a~c is below γ but joins via union-find
     assert(m("b") == "a" && m("c") == "a")
+  }
+
+  test("gammaMergeMap equals a brute-force union-find over all pairs") {
+    import spark.implicits._
+    // 200 terms, components in {0, 1, 2}: repeated vectors give cosines
+    // equal to γ exactly, and similar-but-not-equal vectors form chains.
+    val rnd = new scala.util.Random(11)
+    val names = rnd.shuffle((0 until 200).toVector).map(i => s"t${i * 7919 % 1000}")
+    val vocab = names.map(n => n -> Array.fill(4)(rnd.nextInt(3).toFloat)).toMap
+    val sims = for (i <- names.indices; j <- i + 1 until names.size)
+      yield Embeddings.cosine(vocab(names(i)), vocab(names(j)))
+    // γ is a cosine that occurs, so some pairs sit exactly on it.
+    val gamma = sims.filter(_ < 1.0).sorted.apply((sims.count(_ < 1.0) * 0.97).toInt)
+    assert(sims.contains(gamma))
+
+    val adj = names.map(n => n -> names.filter(m =>
+      m != n && Embeddings.cosine(vocab(n), vocab(m)) >= gamma)).toMap
+    def component(start: String): Set[String] = {
+      var seen = Set(start); var frontier = List(start)
+      while (frontier.nonEmpty) {
+        val next = frontier.flatMap(adj).filterNot(seen)
+        seen ++= next; frontier = next.distinct
+      }
+      seen
+    }
+    val want = names.map(n => n -> component(n).min).filter { case (v, c) => v != c }.toMap
+    // Some component is a chain: a member below γ to its representative.
+    assert(want.exists { case (v, c) => Embeddings.cosine(vocab(v), vocab(c)) < gamma })
+
+    val terms = (names ++ Seq("oov1", "oov2")).toDF("term")
+    val got = Merging.gammaMergeMap(spark, terms, vocab, gamma)
+      .collect().map(r => (r.getString(0), r.getString(1))).toMap
+    assert(got == want)
   }
 
   // ---- compose -----------------------------------------------------------
